@@ -51,6 +51,44 @@ BENCHMARK(BM_Insert<stindex::BruteForceIndex>)->Arg(10000);
 BENCHMARK(BM_Insert<stindex::GridIndex>)->Arg(10000);
 BENCHMARK(BM_Insert<stindex::RTree>)->Arg(10000);
 
+// Live ingest into one hot cell, one sample per second, with every
+// `late_every`-th one (0 = none) arriving `late_s` seconds late: 30 s
+// late is shifted into the sorted pillar, 600 s late starts a delta tail
+// that in-order samples then join until it is merged.  A NearestPerUser
+// query after every 16 inserts pays for scanning the pillar.
+void BM_GridIndexLiveIngest(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t late_every = static_cast<size_t>(state.range(1));
+  const geo::Instant late_s = state.range(2);
+  common::Rng rng(31);
+  std::vector<stindex::Entry> entries;
+  entries.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    geo::Instant t = static_cast<geo::Instant>(i);
+    if (late_every > 0 && i % late_every == late_every - 1) t -= late_s;
+    entries.push_back(stindex::Entry{
+        rng.UniformInt(0, 199),
+        geo::STPoint{{rng.Uniform(0, 100), rng.Uniform(0, 100)}, t}});
+  }
+  const geo::STMetric metric;
+  for (auto _ : state) {
+    stindex::GridIndex index;
+    for (size_t i = 0; i < n; ++i) {
+      index.Insert(entries[i].user, entries[i].sample);
+      if (i % 16 == 15) {
+        benchmark::DoNotOptimize(
+            index.NearestPerUser(entries[i].sample, 5, -1, metric));
+      }
+    }
+    benchmark::DoNotOptimize(index.size());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GridIndexLiveIngest)
+    ->Args({10000, 0, 0})
+    ->Args({10000, 32, 30})
+    ->Args({10000, 32, 600});
+
 void BM_RTreeBulkLoad(benchmark::State& state) {
   const auto entries =
       MakeSamples(static_cast<size_t>(state.range(0)), 13);

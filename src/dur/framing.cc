@@ -38,12 +38,25 @@ uint32_t Crc32(std::string_view bytes) {
 
 void AppendMagic(std::string* out) { out->append(kMagic); }
 
-void AppendRecord(std::string* out, std::string_view payload) {
+namespace {
+
+std::string RecordHeader(std::string_view payload) {
   ByteWriter header;
   header.PutU32(static_cast<uint32_t>(payload.size()));
   header.PutU32(Crc32(payload));
-  out->append(header.bytes());
+  return header.bytes();
+}
+
+}  // namespace
+
+void AppendRecord(std::string* out, std::string_view payload) {
+  out->append(RecordHeader(payload));
   out->append(payload.data(), payload.size());
+}
+
+void AppendRecord(AppendBuffer* out, std::string_view payload) {
+  out->Append(RecordHeader(payload));
+  out->Append(payload);
 }
 
 RecordParse ParseRecordAt(std::string_view bytes, size_t pos,
@@ -124,7 +137,7 @@ std::vector<size_t> RecordBoundaries(std::string_view bytes) {
   boundaries.push_back(kMagic.size());
   size_t pos = kMagic.size();
   for (const std::string_view record : scan->records) {
-    pos += 8 + record.size();  // u32 length + u32 crc + payload
+    pos += kRecordHeaderBytes + record.size();
     boundaries.push_back(pos);
   }
   return boundaries;

@@ -26,6 +26,7 @@
 
 #include "src/common/result.h"
 #include "src/common/status.h"
+#include "src/dur/append_buffer.h"
 
 namespace histkanon {
 namespace dur {
@@ -38,6 +39,9 @@ std::string_view JournalMagic();
 /// hostile bytes.
 inline constexpr uint32_t kMaxRecordPayload = 64u << 20;
 
+/// Bytes of a record header (u32 length + u32 crc) before its payload.
+inline constexpr size_t kRecordHeaderBytes = 8;
+
 /// CRC-32 (IEEE 802.3 polynomial, the zlib crc32) of `bytes`.
 uint32_t Crc32(std::string_view bytes);
 
@@ -46,6 +50,7 @@ void AppendMagic(std::string* out);
 
 /// Appends one framed record (length + crc + payload) to `out`.
 void AppendRecord(std::string* out, std::string_view payload);
+void AppendRecord(AppendBuffer* out, std::string_view payload);
 
 /// Outcome of an incremental single-record parse (ParseRecordAt).
 enum class RecordParse : uint8_t {

@@ -131,7 +131,8 @@ void RpcServer::ServeLoop() {
     const int ready = ::poll(fds.data(), fds.size(), timeout);
     if (!running_.load(std::memory_order_acquire)) break;
     if (ready == 0) {
-      // Idle with an open window: a lone blocking client is waiting.
+      // The sockets went quiet (or stayed quiet for window_timeout_ms)
+      // with an open window: serve what it holds.
       FlushWindow();
       continue;
     }
@@ -460,16 +461,15 @@ void RpcServer::FlushWindow() {
                ReplyForOutcome(pending.request_id, window[index],
                                options_.retry_after_ms));
   }
+  // Push replies out now, visiting only the sessions this window
+  // answered, so a window costs O(its requests), not O(sessions); what
+  // the sockets refuse waits for POLLOUT.
+  for (const PendingReply& pending : pending_) {
+    Session* session = FindSession(pending.session);
+    if (session == nullptr) continue;  // closed since its reply
+    if (session->out_offset < session->out.size()) TryFlushOut(*session);
+  }
   pending_.clear();
-  // Push replies out now; what the sockets refuse waits for POLLOUT.
-  to_close_.clear();
-  for (auto& [id, session] : sessions_) {
-    if (session.out_offset < session.out.size()) to_close_.push_back(id);
-  }
-  for (const uint64_t id : to_close_) {
-    Session* session = FindSession(id);
-    if (session != nullptr) TryFlushOut(*session);
-  }
 }
 
 }  // namespace net

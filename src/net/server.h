@@ -4,8 +4,14 @@
 // through the existing batch-window / CircuitBreaker / BoundedEventQueue
 // path, and answered when the window drains:
 //
-//   read -> decode -> Submit* (write-ahead admission) -> [window fills or
-//   times out] -> ConcurrentServer::DrainWindow() -> one reply per request
+//   read -> decode -> Submit* (write-ahead admission) -> [sockets go
+//   quiet, or the window fills] -> ConcurrentServer::DrainWindow() -> one
+//   reply per request
+//
+// The window is self-clocking by default: it closes as soon as a poll
+// round finds no more readable input, so each window holds exactly what
+// arrived while the previous one was being served — batches grow under
+// load and a lone request waits for nothing.
 //
 // Backpressure is a protocol feature, not an accident: every shed — the
 // breaker open, a full shard queue, a shard deadline — becomes a
@@ -51,13 +57,14 @@ struct RpcServerOptions {
   uint16_t port = 0;
   /// listen(2) backlog.
   int backlog = 128;
-  /// The window flush threshold: DrainWindow() runs once this many
-  /// requests are pending, batching admission like the in-process batch
-  /// engine.  1 = serve every request immediately (lowest latency).
+  /// The window cap: DrainWindow() runs once this many requests are
+  /// pending, even while input keeps arriving.  1 = serve every request
+  /// on its own.
   size_t max_window_requests = 64;
-  /// An open window with pending requests also flushes after this long
-  /// without new traffic, so a lone blocking client is never stranded.
-  int64_t window_timeout_ms = 5;
+  /// An open window with pending requests flushes after this long without
+  /// new traffic.  0 (the default) flushes as soon as the sockets go
+  /// quiet; a positive value trades latency for fuller windows.
+  int64_t window_timeout_ms = 0;
   /// The backoff hint carried by every Throttled reply.
   uint32_t retry_after_ms = 50;
   /// Per-session unsent-reply cap; beyond it the session is declared
@@ -148,7 +155,8 @@ class RpcServer {
   void ReadSession(Session& session);
   void HandleFrame(Session& session, const Frame& frame);
   /// Closes the window: DrainWindow() on the ConcurrentServer, then one
-  /// reply per pending request (sessions that died meanwhile are skipped).
+  /// reply per pending request (sessions that died meanwhile are skipped),
+  /// then pushes out the replies of the sessions it answered.
   void FlushWindow();
   /// Queues a reply frame on the session (doom-on-overflow).
   void QueueReply(Session& session, uint64_t trace_id, const ReplyMsg& reply);
@@ -179,7 +187,6 @@ class RpcServer {
   std::map<uint64_t, Session> sessions_;
   uint64_t next_session_id_ = 1;
   std::vector<PendingReply> pending_;
-  std::vector<uint64_t> to_close_;
 
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> sessions_active_{0};

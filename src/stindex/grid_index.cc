@@ -16,23 +16,44 @@ int64_t FloorToCell(double value, double extent) {
   return static_cast<int64_t>(std::floor(value / extent));
 }
 
+/// The delta tail's constant floor: how many samples it may hold in a
+/// small pillar, and how far a late sample may be shifted into a
+/// tailless pillar instead of starting a tail.
+constexpr size_t kTailFloor = 64;
+
 /// How large the delta tail may grow before MergeDelta folds it in:
 /// constant floor for small pillars, a fraction of the sorted prefix for
 /// hotspot pillars so merge cost stays amortized O(1) per insert.
-size_t DeltaCapacity(size_t sorted) { return std::max<size_t>(64, sorted / 8); }
+/// Queries scan the tail as-is — the flat kernels do not need sorted
+/// input, and a superset scan never changes an answer — so the bound
+/// also keeps that unclipped scan a small share of the pillar.
+size_t DeltaCapacity(size_t sorted) {
+  return std::max(kTailFloor, sorted / 8);
+}
 
-/// Read-time compaction threshold: a query folds a pillar's delta tail
-/// into the sorted prefix only once the tail is a meaningful fraction of
-/// the pillar.  Folding keeps the time-window bisection effective, but
-/// doing it for every tiny tail would be quadratic when inserts and
-/// queries interleave on a hot pillar (each serve appends one sample,
-/// each query would then pay an O(n) merge); below the threshold the
-/// tail is simply scanned as-is — the flat kernels do not need sorted
-/// input, and a superset scan never changes an answer.  Proportional to
-/// the sorted prefix so the amortized query-side merge cost per insert
-/// stays O(1), like the insert-side DeltaCapacity.
-bool ShouldQueryMerge(size_t sorted, size_t tail) {
-  return tail > std::max<size_t>(4, sorted / 8);
+/// Reusable per-thread NearestPerUser / RangeQuery scratch.  Thread-local
+/// rather than index-owned so const reads from many shard workers never
+/// share it; a query leaves no observable state here.  The best-per-user
+/// table is generation-stamped: bumping `best_gen` invalidates every slot
+/// in O(1), so a query pays neither an allocation nor a table-wide clear,
+/// and the table keeps its high-water capacity.
+struct BestSlot {
+  mod::UserId user = 0;
+  uint32_t gen = 0;  // slot is live iff gen == best_gen
+  UserNeighbor neighbor;  // distance = squared while searching
+};
+
+struct QueryScratch {
+  std::vector<BestSlot> best_slots;
+  uint32_t best_gen = 0;
+  std::vector<std::pair<double, mod::UserId>> topk;
+  std::vector<double> d2;
+  std::vector<uint32_t> matched;
+};
+
+QueryScratch& ThreadScratch() {
+  thread_local QueryScratch scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -91,17 +112,36 @@ void GridIndex::Insert(mod::UserId user, const geo::STPoint& sample) {
   if (inserts_ != nullptr) inserts_->Increment();
   const CellKey key = CellOf(sample);
   Pillar& pillar = *pillars_.FindOrInsert(key.x, key.y);
-  if (pillar.sorted == pillar.size() &&
-      (pillar.sorted == 0 || pillar.t[pillar.sorted - 1] <= sample.t)) {
-    // In-order arrival (the common live-ingest case): the pillar stays
-    // fully sorted and never pays a merge.
-    ++pillar.sorted;
+  // A tailless pillar takes the sample at its time slot, so queries keep
+  // clipping all of it: at the end for in-order arrival (the common
+  // live-ingest case), or, for a late sample with at most kTailFloor
+  // entries after its slot, shifted into place.  Anything else joins
+  // the delta tail — including in-order samples once a tail exists, so
+  // no insert moves more than kTailFloor entries.
+  const bool tailless = pillar.sorted == pillar.size();
+  size_t at = pillar.size();
+  if (tailless && at > 0 && sample.t < pillar.t[at - 1]) {
+    at = static_cast<size_t>(
+        std::upper_bound(pillar.t.begin(), pillar.t.end(), sample.t) -
+        pillar.t.begin());
   }
   pillar.t.push_back(sample.t);
   pillar.x.push_back(sample.p.x);
   pillar.y.push_back(sample.p.y);
   pillar.user.push_back(user);
-  if (pillar.size() - pillar.sorted > DeltaCapacity(pillar.sorted)) {
+  if (tailless && pillar.sorted - at <= kTailFloor) {
+    for (size_t i = pillar.sorted; i > at; --i) {
+      pillar.t[i] = pillar.t[i - 1];
+      pillar.x[i] = pillar.x[i - 1];
+      pillar.y[i] = pillar.y[i - 1];
+      pillar.user[i] = pillar.user[i - 1];
+    }
+    pillar.t[at] = sample.t;
+    pillar.x[at] = sample.p.x;
+    pillar.y[at] = sample.p.y;
+    pillar.user[at] = user;
+    ++pillar.sorted;
+  } else if (pillar.size() - pillar.sorted > DeltaCapacity(pillar.sorted)) {
     MergeDelta(&pillar);
   }
   if (size_ == 0) {
@@ -166,22 +206,16 @@ std::vector<Entry> GridIndex::RangeQuery(const geo::STBox& box) const {
   const int64_t x1 = FloorToCell(box.area.max_x, options_.cell_meters);
   const int64_t y0 = FloorToCell(box.area.min_y, options_.cell_meters);
   const int64_t y1 = FloorToCell(box.area.max_y, options_.cell_meters);
-  // Reused across queries (single-threaded by contract) so a query pays
-  // no per-pillar allocation for the match-index staging buffer.
-  std::vector<uint32_t>& matched = match_scratch_;
+  // Reused across this thread's queries so a query pays no per-pillar
+  // allocation for the match-index staging buffer.
+  std::vector<uint32_t>& matched = ThreadScratch().matched;
   for (int64_t x = std::max(x0, min_cell_.x); x <= std::min(x1, max_cell_.x);
        ++x) {
     for (int64_t y = std::max(y0, min_cell_.y);
          y <= std::min(y1, max_cell_.y); ++y) {
-      Pillar* found = pillars_.Find(x, y);
+      const Pillar* found = pillars_.Find(x, y);
       if (found == nullptr) continue;
-      Pillar& pillar = *found;
-      // Read-time compaction (see ShouldQueryMerge): fold a LARGE delta
-      // tail so the bulk of the pillar is one bisectable run; a small
-      // tail is scanned below as-is.
-      if (ShouldQueryMerge(pillar.sorted, pillar.size() - pillar.sorted)) {
-        MergeDelta(&pillar);
-      }
+      const Pillar& pillar = *found;
       const auto filter_range = [&](size_t lo, size_t count) {
         if (count == 0) return;
         if (matched.size() < count) matched.resize(count);
@@ -220,41 +254,44 @@ std::vector<UserNeighbor> GridIndex::NearestPerUser(
   const double cell = options_.cell_meters;
   const double mps = metric.meters_per_second;
 
-  // Per-user best samples in the reusable generation-stamped scratch
+  // Per-user best samples in the thread's generation-stamped scratch
   // table (linear probing, power-of-2 capacity): `consider` is the
   // innermost operation of the whole search, and a node-based map would
   // pay an allocation and a pointer chase per discovered user.  Bumping
   // the generation invalidates the previous query's entries without
   // touching them, so a query pays neither an allocation nor a
   // table-wide clear.
-  if (best_slots_.empty()) best_slots_.assign(128, BestSlot{});
-  if (++best_gen_ == 0) {
+  QueryScratch& scratch = ThreadScratch();
+  std::vector<BestSlot>& best_slots = scratch.best_slots;
+  std::vector<double>& d2_scratch = scratch.d2;
+  if (best_slots.empty()) best_slots.assign(128, BestSlot{});
+  if (++scratch.best_gen == 0) {
     // uint32 wrap: stamp everything dead once, then restart at 1.
-    for (BestSlot& slot : best_slots_) slot.gen = 0;
-    best_gen_ = 1;
+    for (BestSlot& slot : best_slots) slot.gen = 0;
+    scratch.best_gen = 1;
   }
-  const uint32_t gen = best_gen_;
+  const uint32_t gen = scratch.best_gen;
   const auto user_hash = [](mod::UserId user) -> size_t {
     return static_cast<size_t>(
         (static_cast<uint64_t>(user) * 0x9e3779b97f4a7c15ULL) >> 32);
   };
-  size_t best_mask = best_slots_.size() - 1;
+  size_t best_mask = best_slots.size() - 1;
   size_t best_used = 0;
   const auto best_find = [&](mod::UserId user) -> BestSlot* {
     for (size_t i = user_hash(user) & best_mask;; i = (i + 1) & best_mask) {
-      BestSlot& slot = best_slots_[i];
+      BestSlot& slot = best_slots[i];
       if (slot.gen != gen || slot.user == user) return &slot;
     }
   };
   const auto best_grow = [&]() {
-    std::vector<BestSlot> old = std::move(best_slots_);
-    best_slots_.assign(old.size() * 2, BestSlot{});
-    best_mask = best_slots_.size() - 1;
+    std::vector<BestSlot> old = std::move(best_slots);
+    best_slots.assign(old.size() * 2, BestSlot{});
+    best_mask = best_slots.size() - 1;
     for (BestSlot& slot : old) {
       if (slot.gen != gen) continue;
       size_t i = user_hash(slot.user) & best_mask;
-      while (best_slots_[i].gen == gen) i = (i + 1) & best_mask;
-      best_slots_[i] = slot;
+      while (best_slots[i].gen == gen) i = (i + 1) & best_mask;
+      best_slots[i] = slot;
     }
   };
 
@@ -265,7 +302,7 @@ std::vector<UserNeighbor> GridIndex::NearestPerUser(
   // topk.back() — eviction only replaces the maximum with something
   // smaller, and a tracked user's value only decreases in place, so the
   // invariant survives every update.
-  std::vector<std::pair<double, mod::UserId>>& topk = topk_;
+  std::vector<std::pair<double, mod::UserId>>& topk = scratch.topk;
   topk.clear();
   topk.reserve(k);
   double bound_d2 = std::numeric_limits<double>::infinity();
@@ -298,7 +335,7 @@ std::vector<UserNeighbor> GridIndex::NearestPerUser(
       slot->user = user;
       slot->neighbor = UserNeighbor{user, sample, d2};
       topk_update(user, d2);
-      if (++best_used * 2 > best_slots_.size()) best_grow();
+      if (++best_used * 2 > best_slots.size()) best_grow();
     } else if (d2 < slot->neighbor.distance) {
       slot->neighbor.sample = sample;
       slot->neighbor.distance = d2;
@@ -347,23 +384,17 @@ std::vector<UserNeighbor> GridIndex::NearestPerUser(
     const double spatial = cell_min_d2(x, y);
     if (spatial > bound_d2) return;  // arithmetic-only prune, no probe
     ++cells_probed;
-    Pillar* pillar = pillars_.Find(x, y);
+    const Pillar* pillar = pillars_.Find(x, y);
     if (pillar == nullptr) return;
-    // Read-time compaction (see ShouldQueryMerge): fold a LARGE delta
-    // tail so window clipping covers the bulk of the pillar; a small
-    // tail is scanned unclipped below.
-    if (ShouldQueryMerge(pillar->sorted, pillar->size() - pillar->sorted)) {
-      MergeDelta(pillar);
-    }
     const auto scan_range = [&](size_t lo, size_t count) {
       if (count == 0) return;
-      if (d2_scratch_.size() < count) d2_scratch_.resize(count);
+      if (d2_scratch.size() < count) d2_scratch.resize(count);
       geo::kernels::SquaredDistances(pillar->t.data() + lo,
                                      pillar->x.data() + lo,
                                      pillar->y.data() + lo, count, query, mps,
-                                     d2_scratch_.data());
+                                     d2_scratch.data());
       for (size_t j = 0; j < count; ++j) {
-        const double d2 = d2_scratch_[j];
+        const double d2 = d2_scratch[j];
         if (d2 > bound_d2) continue;  // strict: ties must pass
         const mod::UserId user = pillar->user[lo + j];
         if (user == exclude) continue;
@@ -447,7 +478,7 @@ std::vector<UserNeighbor> GridIndex::NearestPerUser(
     nearest_shells_->Observe(static_cast<double>(cells_probed));
   }
   result.reserve(best_used);
-  for (const BestSlot& slot : best_slots_) {
+  for (const BestSlot& slot : best_slots) {
     if (slot.gen == gen) result.push_back(slot.neighbor);
   }
   const auto by_distance = [](const UserNeighbor& a, const UserNeighbor& b) {

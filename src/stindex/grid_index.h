@@ -121,12 +121,16 @@ class GridIndex : public SpatioTemporalIndex {
    public:
     PillarTable() : slots_(kMinSlots), mask_(kMinSlots - 1) {}
 
-    Pillar* Find(int64_t x, int64_t y) {
+    const Pillar* Find(int64_t x, int64_t y) const {
       for (size_t i = Hash(x, y) & mask_;; i = (i + 1) & mask_) {
-        Slot& slot = slots_[i];
+        const Slot& slot = slots_[i];
         if (!slot.used) return nullptr;
         if (slot.x == x && slot.y == y) return &slot.pillar;
       }
+    }
+
+    Pillar* Find(int64_t x, int64_t y) {
+      return const_cast<Pillar*>(std::as_const(*this).Find(x, y));
     }
 
     Pillar* FindOrInsert(int64_t x, int64_t y) {
@@ -190,28 +194,11 @@ class GridIndex : public SpatioTemporalIndex {
   obs::Counter* range_queries_ = nullptr;
   obs::Counter* nearest_queries_ = nullptr;
   obs::Histogram* nearest_shells_ = nullptr;
-  // `mutable` for read-time compaction: the index is single-threaded by
-  // contract, and queries fold a touched pillar's oversized delta tail
-  // into the sorted prefix before scanning it (small tails are scanned
-  // as-is) — content is unchanged, so const semantics hold for every
-  // observable answer.
-  mutable PillarTable pillars_;
-  // Per-query scratch for NearestPerUser, reused across queries (the
-  // index is single-threaded by contract; a query leaves no observable
-  // state here).  The best-per-user table is generation-stamped: bumping
-  // best_gen_ invalidates every slot in O(1), so a query pays neither an
-  // allocation nor a table-wide clear, and the table keeps its
-  // high-water capacity.
-  struct BestSlot {
-    mod::UserId user = 0;
-    uint32_t gen = 0;  // slot is live iff gen == best_gen_
-    UserNeighbor neighbor;  // distance = squared while searching
-  };
-  mutable std::vector<BestSlot> best_slots_;
-  mutable uint32_t best_gen_ = 0;
-  mutable std::vector<std::pair<double, mod::UserId>> topk_;
-  mutable std::vector<double> d2_scratch_;
-  mutable std::vector<uint32_t> match_scratch_;
+  // Queries never write here: a pillar's delta tail is folded in on the
+  // write side (Insert), so concurrent const reads — the sharded
+  // serve phase, DESIGN.md §13 — are race-free.  Per-query scratch is
+  // thread-local in grid_index.cc for the same reason.
+  PillarTable pillars_;
   size_t size_ = 0;
   /// Bumped on every Insert (the MOD-ingest invalidation ticket).
   uint64_t epoch_ = 0;

@@ -488,7 +488,7 @@ common::Result<JournalEvent> DecodeJournalEvent(
 // ---------------------------------------------------------------------
 // TsJournal.
 
-TsJournal::TsJournal() { dur::AppendMagic(&bytes_); }
+TsJournal::TsJournal() { bytes_.Append(dur::JournalMagic()); }
 
 common::Status TsJournal::AppendEvent(const JournalEvent& event) {
   HISTKANON_FAILPOINT_RETURN(fail::kDurJournalAppend);
@@ -535,18 +535,17 @@ common::Status TsJournal::CommitAppend(size_t old_size) {
     // A compaction renamed the file but could not reopen it: appending
     // in memory only would diverge from the durable artifact, so the
     // journal fails closed and the caller suppresses the event.
-    bytes_.resize(old_size);
+    bytes_.Truncate(old_size);
     return common::Status::Internal(
         "journal sink lost by a failed compaction reopen");
   }
   if (sink_ == nullptr) return common::Status::OK();
-  common::Status status = sink_->Append(
-      std::string_view(bytes_).substr(old_size));
+  common::Status status = sink_->Append(bytes_.view().substr(old_size));
   if (!status.ok()) {
     // The record never happened: the in-memory journal stays the intact
     // prefix; whatever torn bytes reached the sink's medium are discarded
     // by the recovery scan's CRC check.
-    bytes_.resize(old_size);
+    bytes_.Truncate(old_size);
     return status;
   }
   return common::Status::OK();
@@ -556,7 +555,7 @@ common::Status TsJournal::AttachSink(dur::JournalSink* sink) {
   sink_ = sink;
   if (sink_ == nullptr) return common::Status::OK();
   // Catch up: the sink must hold everything journaled so far.
-  common::Status status = sink_->Append(bytes_);
+  common::Status status = sink_->Append(bytes_.view());
   if (!status.ok()) sink_ = nullptr;
   return status;
 }
@@ -569,7 +568,7 @@ common::Status TsJournal::Sync() {
 common::Status TsJournal::WriteToFile(const std::string& path) const {
   HISTKANON_ASSIGN_OR_RETURN(std::unique_ptr<dur::FileSink> sink,
                              dur::FileSink::Open(path));
-  HISTKANON_RETURN_NOT_OK(sink->Append(bytes_));
+  HISTKANON_RETURN_NOT_OK(sink->Append(bytes_.view()));
   return sink->Close();
 }
 
@@ -600,7 +599,7 @@ common::Status TsJournal::Compact() {
   std::string compacted;
   compacted.reserve(magic_size + bytes_.size() - last_snapshot_offset_);
   dur::AppendMagic(&compacted);
-  compacted.append(bytes_, last_snapshot_offset_, std::string::npos);
+  compacted.append(bytes_.view().substr(last_snapshot_offset_));
   if (owned_sink_ != nullptr) {
     // Copy-forward + atomic rename.  The tmp file is synced before the
     // rename, so the snapshot record is durable in the NEW file before
@@ -646,7 +645,7 @@ common::Status TsJournal::Compact() {
     owned_sink_ = std::move(*reopened);
     sink_ = owned_sink_.get();
   }
-  bytes_ = std::move(compacted);
+  bytes_.Assign(compacted);
   last_snapshot_offset_ = magic_size;
   ++compactions_;
   return common::Status::OK();
@@ -658,12 +657,14 @@ common::Status TsJournal::Compact() {
 common::Result<RecoveredJournal> ScanJournal(
     std::string_view bytes, const tgran::GranularityRegistry& registry) {
   HISTKANON_ASSIGN_OR_RETURN(dur::ScanResult scan, dur::ScanRecords(bytes));
-  const std::vector<size_t> boundaries = dur::RecordBoundaries(bytes);
   RecoveredJournal out;
   out.valid_bytes = scan.valid_bytes;
   out.clean = scan.clean;
   out.tail_error = scan.tail_error;
-  size_t accepted = 0;
+  // Every record decodes to at most one event: one exact allocation
+  // instead of doubling (a long wire run journals an epoch marker per
+  // window, so events can be most of a journal's records).
+  out.events.reserve(scan.records.size());
   for (const std::string_view payload : scan.records) {
     dur::ByteReader reader(payload);
     uint8_t record_type = 0;
@@ -718,10 +719,12 @@ common::Result<RecoveredJournal> ScanJournal(
       // everything after as damage, exactly like a torn tail.
       out.clean = false;
       out.tail_error = status.message();
-      out.valid_bytes = boundaries[accepted];
+      // The record starts at its header, just before the payload view
+      // into `bytes`.
+      out.valid_bytes = static_cast<size_t>(payload.data() - bytes.data()) -
+                        dur::kRecordHeaderBytes;
       break;
     }
-    ++accepted;
   }
   out.total_events = out.events_before_snapshot + out.events.size();
   return out;

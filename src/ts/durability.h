@@ -33,6 +33,7 @@
 
 #include "src/common/result.h"
 #include "src/common/status.h"
+#include "src/dur/append_buffer.h"
 #include "src/dur/sink.h"
 #include "src/tgran/granularity.h"
 #include "src/ts/concurrent_server.h"
@@ -99,7 +100,8 @@ common::Result<JournalEvent> DecodeJournalEvent(
 /// \brief An in-memory write-ahead journal (the byte string is the
 /// durable artifact: persist it with WriteToFile or your own I/O, append
 /// granularity = one framed record), optionally teed record-by-record to
-/// a dur::JournalSink.
+/// a dur::JournalSink.  The bytes live in a dur::AppendBuffer, so a
+/// growing journal never stalls an append with a whole-journal copy.
 ///
 /// Appends are all-or-nothing from the caller's view: on a non-OK return
 /// (injected fault at dur.journal.*, or a sink I/O error) neither the
@@ -135,8 +137,8 @@ class TsJournal {
   common::Status Sync();
 
   /// The journal bytes (magic + records), crash-consistent at any record
-  /// boundary.
-  const std::string& bytes() const { return bytes_; }
+  /// boundary.  Valid until the next append or compaction.
+  std::string_view bytes() const { return bytes_.view(); }
   size_t size() const { return bytes_.size(); }
 
   /// Events appended so far (snapshot records do not count).
@@ -183,7 +185,7 @@ class TsJournal {
   /// failure rolls bytes_ back to old_size (the record never happened).
   common::Status CommitAppend(size_t old_size);
 
-  std::string bytes_;
+  dur::AppendBuffer bytes_;
   size_t event_count_ = 0;
   dur::JournalSink* sink_ = nullptr;
   /// Compaction state: the owned sink (when OpenFileSink wired one), its

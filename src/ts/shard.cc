@@ -49,12 +49,15 @@ void BoundedEventQueue::CancelSlot() {
 }
 
 void BoundedEventQueue::PushReserved(ShardEvent event) {
+  const bool ingest = event.kind <= ShardEvent::Kind::kSetUserRules;
+  size_t queued = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (reserved_ > 0) --reserved_;
     items_.push_back(std::move(event));
+    queued = items_.size();
   }
-  not_empty_.notify_one();
+  if (!ingest || queued >= wake_batch_) not_empty_.notify_one();
 }
 
 ShardEvent BoundedEventQueue::Pop() {

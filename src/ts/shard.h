@@ -23,6 +23,7 @@
 #ifndef HISTKANON_SRC_TS_SHARD_H_
 #define HISTKANON_SRC_TS_SHARD_H_
 
+#include <algorithm>
 #include <barrier>
 #include <condition_variable>
 #include <cstddef>
@@ -53,6 +54,7 @@ struct CheckpointCollector {
 
 /// \brief One queued event for a shard worker.
 struct ShardEvent {
+  /// The ingest kinds come first: BoundedEventQueue batches their wakeups.
   enum class Kind {
     kLocationUpdate,  ///< Ingest: db/index append.
     kRequest,         ///< Ingest exact point now, serve after the barrier.
@@ -94,10 +96,18 @@ struct ShardEvent {
 /// first reserves capacity (TryAcquireSlot — the only step that can
 /// fail), then journals, then fills the slot with PushReserved (which
 /// never blocks) or releases it with CancelSlot if journaling failed.
+///
+/// Ingest events wake a sleeping consumer only once a batch of them has
+/// queued up (a quarter of the capacity, at most 64); the kinds a
+/// producer waits on — epoch markers, syncs, checkpoints, shutdown — wake
+/// it at once, and it then drains everything queued before them.  A
+/// window of a few requests thus costs one consumer wakeup, not one per
+/// update, and a full queue always has an awake consumer.
 class BoundedEventQueue {
  public:
   explicit BoundedEventQueue(size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+      : capacity_(capacity == 0 ? 1 : capacity),
+        wake_batch_(std::clamp<size_t>(capacity_ / 4, 1, 64)) {}
 
   /// AcquireSlot + PushReserved (the classic blocking enqueue).
   void Push(ShardEvent event);
@@ -129,6 +139,7 @@ class BoundedEventQueue {
   std::deque<ShardEvent> items_;
   size_t reserved_ = 0;
   const size_t capacity_;
+  const size_t wake_batch_;
 };
 
 /// \brief One worker shard.  Owned and orchestrated by ConcurrentServer.

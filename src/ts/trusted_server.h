@@ -13,6 +13,7 @@
 #ifndef HISTKANON_SRC_TS_TRUSTED_SERVER_H_
 #define HISTKANON_SRC_TS_TRUSTED_SERVER_H_
 
+#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
@@ -388,7 +389,10 @@ class TrustedServer : public sim::EventSink {
   const lbqid::LbqidMonitor& monitor() const { return monitor_; }
 
   /// Every outcome, in processing order (drives the experiment metrics).
-  const std::vector<ProcessOutcome>& outcomes() const { return outcomes_; }
+  /// A deque: the log grows by one request at a time for as long as the
+  /// server runs, and a vector's doubling would stall the request that
+  /// crosses each power of two while it moves the whole log.
+  const std::deque<ProcessOutcome>& outcomes() const { return outcomes_; }
 
   /// The forwarded spatio-temporal contexts of `user`'s LBQID-matching
   /// requests under their CURRENT pseudonym (the set Definition 8
@@ -632,7 +636,7 @@ class TrustedServer : public sim::EventSink {
   uint64_t deadline_overruns_ = 0;
   uint64_t admitted_events_ = 0;
   TsStats stats_;
-  std::vector<ProcessOutcome> outcomes_;
+  std::deque<ProcessOutcome> outcomes_;
   anon::ToleranceConstraints default_tolerance_;
   // Tiered-storage state (all inert when cold_ is null).  The seal
   // schedule and segment counter ARE part of Checkpoint() — recovery must

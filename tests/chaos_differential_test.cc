@@ -52,7 +52,8 @@ uint64_t BaseSeed() {
 }
 
 // Compact per-request transcript for readable failure diffs.
-std::string DispositionString(const std::vector<ProcessOutcome>& outcomes) {
+template <typename Outcomes>
+std::string DispositionString(const Outcomes& outcomes) {
   std::string out;
   out.reserve(outcomes.size() * 2);
   for (const ProcessOutcome& o : outcomes) {

@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <sys/stat.h>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -218,6 +219,128 @@ TEST(ColumnarEquivalence, HotspotWorkload) {
 TEST(ColumnarEquivalence, CommuterWorkload) {
   common::Rng rng(13);
   RunWorkloadBattery(CommuterWorkload(&rng, 20, 24), 103, "commuter");
+}
+
+// One pillar fed every arrival order Insert tells apart — in order, a
+// few entries late (shifted into a tailless pillar), far late (starts a
+// delta tail that in-order samples then join until it is merged) — with
+// removals in between.  Every answer must match the oracle built from the
+// samples still present.
+TEST(ColumnarEquivalence, LateSamplesIntoOnePillar) {
+  common::Rng rng(15);
+  GridIndex grid;
+  std::vector<Sample> present;
+  const STMetric metric;
+  int64_t clock = 10000;
+  for (int i = 0; i < 3000; ++i) {
+    int64_t t = ++clock;
+    const int64_t roll = rng.UniformInt(0, 9);
+    if (roll == 0) t -= rng.UniformInt(1, 40);
+    if (roll == 1) t -= rng.UniformInt(100, 5000);
+    const Sample s{static_cast<mod::UserId>(rng.UniformInt(0, 30)),
+                   {{rng.Uniform(0.0, 200.0), rng.Uniform(0.0, 200.0)}, t}};
+    grid.Insert(s.user, s.point);
+    present.push_back(s);
+    if (i % 7 == 6) {
+      const size_t victim = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(present.size() - 1)));
+      ASSERT_TRUE(grid.Remove(present[victim].user, present[victim].point));
+      present.erase(present.begin() + static_cast<ptrdiff_t>(victim));
+    }
+    if (i % 50 != 49) continue;
+    BruteForceIndex brute;
+    for (const Sample& p : present) brute.Insert(p.user, p.point);
+    ASSERT_EQ(grid.size(), present.size());
+    const std::string what = "after insert " + std::to_string(i);
+    const STPoint query{{rng.Uniform(0.0, 200.0), rng.Uniform(0.0, 200.0)},
+                        rng.UniformInt(5000, clock)};
+    const size_t k = static_cast<size_t>(rng.UniformInt(1, 12));
+    ExpectSameNeighbors(
+        grid.NearestPerUser(query, k, mod::kInvalidUser, metric),
+        brute.NearestPerUser(query, k, mod::kInvalidUser, metric), what);
+    const STBox box{{0.0, 0.0, 200.0, 200.0},
+                    {query.t - 300, query.t + 300}};
+    EXPECT_EQ(Canonical(grid.RangeQuery(box)),
+              Canonical(brute.RangeQuery(box)))
+        << what;
+  }
+}
+
+// Const reads are race-free: several threads hammer ONE GridIndex with
+// interleaved NearestPerUser / RangeQuery calls — the sharded serve
+// phase's access pattern — and every answer must equal the serial
+// BruteForceIndex oracle.  The hotspot workload's per-user insert order
+// leaves unsorted delta tails on deep pillars, the state a query used to
+// compact in place.  Named so the tsan job's `-R Concurrent` filter runs
+// it under ThreadSanitizer.
+TEST(ConcurrentGridIndex, ParallelReadersMatchBruteForce) {
+  common::Rng rng(14);
+  const std::vector<Sample> samples = HotspotWorkload(&rng, 48, 60);
+  BruteForceIndex brute;
+  GridIndex grid;
+  for (const Sample& s : samples) {
+    brute.Insert(s.user, s.point);
+    grid.Insert(s.user, s.point);
+  }
+
+  struct Query {
+    STPoint point;
+    size_t k = 0;
+    STBox box;
+  };
+  const STMetric metric;
+  std::vector<Query> queries;
+  std::vector<std::vector<UserNeighbor>> expected_nearest;
+  std::vector<std::vector<Entry>> expected_range;
+  for (int i = 0; i < 200; ++i) {
+    Query q;
+    const auto& near = samples[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(samples.size() - 1)))];
+    q.point = STPoint{{near.point.p.x + rng.Uniform(-200.0, 200.0),
+                       near.point.p.y + rng.Uniform(-200.0, 200.0)},
+                      near.point.t + rng.UniformInt(-300, 300)};
+    q.k = static_cast<size_t>(rng.UniformInt(1, 12));
+    q.box = STBox{{q.point.p.x - 80.0, q.point.p.y - 80.0,
+                   q.point.p.x + 80.0, q.point.p.y + 80.0},
+                  {q.point.t - 900, q.point.t + 900}};
+    expected_nearest.push_back(
+        brute.NearestPerUser(q.point, q.k, mod::kInvalidUser, metric));
+    expected_range.push_back(Canonical(brute.RangeQuery(q.box)));
+    queries.push_back(q);
+  }
+
+  constexpr size_t kThreads = 4;
+  constexpr size_t kRounds = 5;
+  std::vector<std::vector<std::vector<UserNeighbor>>> got_nearest(kThreads);
+  std::vector<std::vector<std::vector<Entry>>> got_range(kThreads);
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      got_nearest[t].resize(queries.size());
+      got_range[t].resize(queries.size());
+      for (size_t round = 0; round < kRounds; ++round) {
+        // Each thread walks the queries from its own offset so the
+        // threads land on different pillars at any one moment.
+        for (size_t n = 0; n < queries.size(); ++n) {
+          const size_t i = (n + t * queries.size() / kThreads) %
+                           queries.size();
+          got_nearest[t][i] = grid.NearestPerUser(
+              queries[i].point, queries[i].k, mod::kInvalidUser, metric);
+          got_range[t][i] = Canonical(grid.RangeQuery(queries[i].box));
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const std::string what =
+          "thread " + std::to_string(t) + " query " + std::to_string(i);
+      ExpectSameNeighbors(got_nearest[t][i], expected_nearest[i], what);
+      EXPECT_EQ(got_range[t][i], expected_range[i]) << what;
+    }
+  }
 }
 
 // Exact-distance ties must canonicalize identically in both indexes:

@@ -1,12 +1,14 @@
 // Unit tests for the journal record framing: round-trips, torn tails,
-// CRC corruption, length-cap corruption, and the crash-consistent cut
-// points RecordBoundaries reports.
+// CRC corruption, length-cap corruption, the crash-consistent cut points
+// RecordBoundaries reports, and the AppendBuffer journals are kept in.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/dur/append_buffer.h"
 #include "src/dur/framing.h"
 
 namespace histkanon {
@@ -118,6 +120,39 @@ TEST(DurFraming, RecordBoundariesAreTheCutPoints) {
     EXPECT_TRUE(scan->clean) << "boundary " << i;
     EXPECT_EQ(scan->records.size(), i) << "boundary " << i;
   }
+}
+
+TEST(DurFraming, AppendBufferHoldsTheSameBytesAsAString) {
+  // ~600 KB of records: the buffer grows (and may move) several times.
+  std::string expected;
+  AppendBuffer buffer;
+  AppendMagic(&expected);
+  buffer.Append(JournalMagic());
+  size_t cut = 0;
+  for (size_t i = 0; i < 3000; ++i) {
+    if (i == 1000) cut = expected.size();
+    const std::string payload(100 + i % 200, static_cast<char>('a' + i % 26));
+    AppendRecord(&expected, payload);
+    AppendRecord(&buffer, payload);
+  }
+  ASSERT_EQ(buffer.size(), expected.size());
+  EXPECT_EQ(buffer.view(), expected);
+
+  buffer.Truncate(cut);
+  EXPECT_EQ(buffer.view(), std::string_view(expected).substr(0, cut));
+  buffer.Truncate(expected.size());  // never grows
+  EXPECT_EQ(buffer.size(), cut);
+  AppendRecord(&buffer, "after the cut");
+  const auto scan = ScanRecords(buffer.view());
+  ASSERT_TRUE(scan.ok());
+  EXPECT_TRUE(scan->clean);
+  ASSERT_EQ(scan->records.size(), 1001u);
+  EXPECT_EQ(scan->records.back(), "after the cut");
+
+  buffer.Assign(std::string_view(expected).substr(0, 64));
+  EXPECT_EQ(buffer.view(), std::string_view(expected).substr(0, 64));
+  buffer.Assign("");
+  EXPECT_EQ(buffer.size(), 0u);
 }
 
 TEST(DurFraming, Crc32MatchesKnownVector) {

@@ -157,7 +157,7 @@ TEST_F(DurabilityIoTest, JournalAppendRollsBackOnSinkFailure) {
   TsJournal journal;
   ASSERT_TRUE(journal.AttachSink(sink->get()).ok());
   ASSERT_TRUE(journal.AppendEvent(UpdateEvent(1, 10.0)).ok());
-  const std::string before = journal.bytes();
+  const std::string before(journal.bytes());
   const size_t count_before = journal.event_count();
   {
     fail::ScopedFailPoint fp(

@@ -1,14 +1,19 @@
 // Conformance tests for the RPC serving layer over a real loopback
 // socket: ephemeral-port bind, register/update/request round trips,
-// batch-window flush by count and by timeout, breaker sheds surfaced as
-// Throttled (never silent), hostile bytes answered with a final Error
-// frame, stalled-client disconnect, and the net_* metrics.
+// batch-window flush by count, by timeout and when the sockets go quiet,
+// breaker sheds surfaced as Throttled (never silent), hostile bytes
+// answered with a final Error frame, stalled-client disconnect, and the
+// net_* metrics.
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -146,6 +151,83 @@ TEST(NetServer, LoneClientIsFlushedByTimeout) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->msg.type, MsgType::kResponseBox);
   server.Stop();
+}
+
+TEST(NetServer, LoneRequestIsFlushedWhenTheSocketsGoQuiet) {
+  // Default options: no fill wait.  The window closes on the first poll
+  // round that finds nothing more to read, well before a 5 ms timer.
+  ASSERT_EQ(RpcServerOptions{}.window_timeout_ms, 0);
+  ts::ConcurrentServer cs(SmallServer());
+  ASSERT_TRUE(cs.RegisterService(TestService()).ok());
+  RpcServer server(&cs, RpcServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  RpcClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  auto reg = client.SendRegister(
+      9, ts::PrivacyPolicy::FromConcern(ts::PrivacyConcern::kOff));
+  ASSERT_TRUE(reg.ok());
+  ASSERT_TRUE(client.WaitReply(*reg).ok());
+  EXPECT_EQ(server.windows_flushed(), 0u);  // acks open no window
+
+  // Each lone request is its own window; the fastest round trip of a
+  // few shows no timer was waited on.
+  int64_t fastest_ns = std::numeric_limits<int64_t>::max();
+  for (uint64_t i = 1; i <= 5; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    auto req = client.SendRequest(9, geo::STPoint{{5, 5}, 30}, 1, "lone");
+    ASSERT_TRUE(req.ok());
+    auto reply = client.WaitReply(*req);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    fastest_ns = std::min<int64_t>(
+        fastest_ns, std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
+    EXPECT_EQ(reply->msg.type, MsgType::kResponseBox);
+    EXPECT_EQ(server.windows_flushed(), i);
+  }
+  EXPECT_LT(fastest_ns, 5'000'000);
+  server.Stop();
+}
+
+TEST(NetServer, FramesOfOneWriteShareOneWindow) {
+  ts::ConcurrentServer cs(SmallServer());
+  ASSERT_TRUE(cs.RegisterService(TestService()).ok());
+  RpcServer server(&cs, RpcServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  RpcClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  auto reg = client.SendRegister(
+      3, ts::PrivacyPolicy::FromConcern(ts::PrivacyConcern::kOff));
+  ASSERT_TRUE(reg.ok());
+  ASSERT_TRUE(client.WaitReply(*reg).ok());
+
+  // N request frames in ONE send(): the server reads them in one poll
+  // round, so they close exactly one window together.
+  constexpr uint64_t kFrames = 16;
+  std::string wire;
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    RequestMsg msg;
+    msg.request_id = 1000 + i;
+    msg.user = 3;
+    msg.exact = geo::STPoint{{10.0 * i, 10.0}, 60};
+    msg.service = 1;
+    msg.data = "batch";
+    AppendFrame(&wire, static_cast<uint8_t>(MsgType::kRequest), 0,
+                EncodeRequest(msg));
+  }
+  ASSERT_EQ(::send(client.fd(), wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    auto reply = client.WaitReply(1000 + i);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->msg.type, MsgType::kResponseBox);
+  }
+  EXPECT_EQ(server.windows_flushed(), 1u);
+  server.Stop();
+  cs.Finish();
+  EXPECT_EQ(cs.outcomes().size(), kFrames);
 }
 
 TEST(NetServer, BreakerShedsBecomeThrottledReplies) {

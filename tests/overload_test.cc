@@ -205,6 +205,27 @@ TEST_F(OverloadTest, PopHandsBackEventsInOrder) {
   }
 }
 
+TEST_F(OverloadTest, BatchedIngestWakeupsStillDrainAFillingQueue) {
+  // Ingest events wake a sleeping consumer only in batches (2 at a
+  // capacity of 8).  A producer pushing four times the capacity must
+  // never wait on a consumer that nobody woke.
+  BoundedEventQueue queue(8);
+  size_t popped = 0;
+  std::thread consumer([&queue, &popped] {
+    while (queue.Pop().kind != ShardEvent::Kind::kShutdown) ++popped;
+  });
+  size_t pushed = 0;
+  while (pushed < 32 && queue.TryPush(ShardEvent{}, /*timeout_ms=*/2000)) {
+    ++pushed;
+  }
+  EXPECT_EQ(pushed, 32u);
+  ShardEvent shutdown;
+  shutdown.kind = ShardEvent::Kind::kShutdown;
+  queue.PushReserved(std::move(shutdown));  // never blocks; wakes at once
+  consumer.join();
+  EXPECT_EQ(popped, pushed);
+}
+
 // ---------------------------------------------------------------------------
 // Full-queue policies on the concurrent front-end.
 

@@ -34,7 +34,8 @@ const tgran::GranularityRegistry& Registry() {
 
 // Compact per-request transcript for readable failure diffs (the real
 // comparison below is the full snapshot blob).
-std::string DispositionString(const std::vector<ProcessOutcome>& outcomes) {
+template <typename Outcomes>
+std::string DispositionString(const Outcomes& outcomes) {
   std::string out;
   out.reserve(outcomes.size() * 2);
   for (const ProcessOutcome& o : outcomes) {
@@ -86,7 +87,7 @@ void RunSerialKillPointSweep(const EpochedWorkload& workload,
   ASSERT_EQ(journal.event_count(), events.size());
   ASSERT_GT(golden.stats().requests, 0u);
 
-  const std::string& bytes = journal.bytes();
+  const std::string bytes(journal.bytes());
   const std::vector<size_t> boundaries = dur::RecordBoundaries(bytes);
   ASSERT_EQ(boundaries.back(), bytes.size());
 
@@ -166,7 +167,7 @@ TEST(RecoveryDifferential, CorruptedByteIsNeverReplayed) {
   golden.AttachJournal(&journal);
   for (const JournalEvent& event : events) ApplyJournalEvent(&golden, event);
 
-  std::string bytes = journal.bytes();
+  std::string bytes(journal.bytes());
   const std::vector<size_t> boundaries = dur::RecordBoundaries(bytes);
   ASSERT_GT(boundaries.size(), 4u);
   // Bit-rot a payload byte in a mid-journal record (past its 8-byte
@@ -291,7 +292,7 @@ TEST(ConcurrentRecovery, EveryCrashPointWithMidStreamCheckpoint) {
   golden.Finish();
   ASSERT_GT(golden.outcomes().size(), 0u);
 
-  const std::string& bytes = journal.bytes();
+  const std::string bytes(journal.bytes());
   const std::vector<size_t> boundaries = dur::RecordBoundaries(bytes);
   for (size_t b = 0; b < boundaries.size(); ++b) {
     std::vector<size_t> cuts = {boundaries[b]};

@@ -56,7 +56,7 @@ std::string SeedJournal() {
       EXPECT_TRUE(server.WriteCheckpoint().ok());
     }
   }
-  return journal.bytes();
+  return std::string(journal.bytes());
 }
 
 std::string SeedSnapshot() {

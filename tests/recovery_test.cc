@@ -235,13 +235,41 @@ TEST(Recovery, UndecodableRecordStopsTheScan) {
   const size_t intact = journal.size();
   // A CRC-valid record with an unknown type byte: framing accepts it, the
   // semantic scan must treat it as damage.
-  std::string bytes = journal.bytes();
+  std::string bytes(journal.bytes());
   dur::AppendRecord(&bytes, "\x7fgarbage");
   const auto scanned = ScanJournal(bytes, Registry());
   ASSERT_TRUE(scanned.ok());
   EXPECT_FALSE(scanned->clean);
   EXPECT_EQ(scanned->events.size(), 1u);
   EXPECT_EQ(scanned->valid_bytes, intact);
+}
+
+TEST(Recovery, EpochMarkerHeavyJournalScansIntoOneAllocation) {
+  // A long wire run journals one epoch marker per window.  The scan sizes
+  // its event vector from the framing pass instead of doubling into it.
+  TsJournal journal;
+  JournalEvent marker;
+  marker.kind = JournalEvent::Kind::kEpochEnd;
+  JournalEvent update;
+  update.kind = JournalEvent::Kind::kUpdate;
+  update.user = 4;
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(journal.AppendEvent(marker).ok());
+    if (i % 100 == 0) {
+      update.point = geo::STPoint{{1.0 * i, 2.0}, i};
+      ASSERT_TRUE(journal.AppendEvent(update).ok());
+    }
+  }
+  const auto records = dur::ScanRecords(journal.bytes());
+  ASSERT_TRUE(records.ok());
+  const auto scanned = ScanJournal(journal.bytes(), Registry());
+  ASSERT_TRUE(scanned.ok());
+  EXPECT_TRUE(scanned->clean);
+  ASSERT_EQ(scanned->events.size(), 5050u);
+  EXPECT_EQ(scanned->events.size(), records->records.size());
+  EXPECT_LE(scanned->events.capacity(), records->records.size());
+  EXPECT_EQ(scanned->events[1].kind, JournalEvent::Kind::kUpdate);
+  EXPECT_EQ(scanned->events[1].point, (geo::STPoint{{0.0, 2.0}, 0}));
 }
 
 TEST(Recovery, LbqidRegistrationSurvivesTheJournal) {

@@ -114,7 +114,7 @@ TEST(TraceRecovery, TornTailAfterCheckpointStillSeedsFromAnnotation) {
     Drive(&server, 1, 300);
   }
   // Tear the final record (the post-checkpoint request) mid-byte.
-  std::string torn = journal.bytes();
+  std::string torn(journal.bytes());
   torn.resize(torn.size() - 3);
 
   obs::CausalTracer recovered_tracer;
